@@ -184,8 +184,9 @@ impl Opts {
     pub fn close_trace(&self, trace: Option<TraceHandle>) {
         let Some(trace) = trace else { return };
         {
-            // Cumulative qt-par chunk count: deterministic for a given
-            // workload (chunk boundaries never depend on the pool size).
+            // Cumulative qt-par chunks issued from this thread:
+            // deterministic for a given workload (chunk boundaries never
+            // depend on the pool size).
             let mut session = trace.borrow_mut();
             session
                 .metrics_mut()

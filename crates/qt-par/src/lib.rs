@@ -19,9 +19,10 @@
 //! boundaries that depend only on the input length and the caller's chunk
 //! size — never on the thread count. Each chunk is computed independently
 //! and lands in its own disjoint output region, so results (and the
-//! [`tasks_executed`] counter) are **bitwise identical for any thread
-//! count**, including fully serial execution. Callers must follow the same
-//! rule: never branch on [`threads`] when choosing chunk sizes.
+//! [`tasks_executed`] count of chunks issued from this thread) are
+//! **bitwise identical for any thread count**, including fully serial
+//! execution. Callers must follow the same rule: never branch on
+//! [`threads`] when choosing chunk sizes.
 //!
 //! # Pool sizing
 //!
@@ -33,20 +34,20 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Process-global pool size, parsed from `QT_THREADS` exactly once.
 static CONFIGURED: OnceLock<usize> = OnceLock::new();
 
-/// Total chunk tasks dispatched through this crate (monotonic; feeds the
-/// `par.chunk_tasks` metric). Deterministic across thread counts because
-/// chunk boundaries are.
-static TASKS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Per-thread override installed by [`with_threads`].
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Chunk tasks issued from this thread (monotonic; feeds the
+    /// `par.chunk_tasks` metric). Counted before any worker spawns, so
+    /// it is deterministic across thread counts because chunk boundaries
+    /// are, and work issued concurrently from other threads never adds
+    /// to it.
+    static TASKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The `QT_THREADS` value this process was configured with, if set.
@@ -97,10 +98,14 @@ pub fn serial<R>(f: impl FnOnce() -> R) -> R {
     with_threads(1, f)
 }
 
-/// Chunk tasks dispatched so far, process-wide. Same value for the same
+/// Chunk tasks issued from this thread so far. Same value for the same
 /// workload at any thread count.
 pub fn tasks_executed() -> u64 {
-    TASKS.load(Ordering::Relaxed)
+    TASKS.with(|t| t.get())
+}
+
+fn add_tasks(n: usize) {
+    TASKS.with(|t| t.set(t.get() + n as u64));
 }
 
 /// Run `f(u)` for every `u in 0..units`, distributing contiguous index
@@ -109,7 +114,7 @@ pub fn parallel_for(units: usize, f: impl Fn(usize) + Sync) {
     if units == 0 {
         return;
     }
-    TASKS.fetch_add(units as u64, Ordering::Relaxed);
+    add_tasks(units);
     let t = threads().min(units);
     if t <= 1 {
         for u in 0..units {
@@ -142,7 +147,7 @@ pub fn parallel_map_slices<T: Sync, R: Send>(
     if nchunks == 0 {
         return Vec::new();
     }
-    TASKS.fetch_add(nchunks as u64, Ordering::Relaxed);
+    add_tasks(nchunks);
     let t = threads().min(nchunks);
     let run = |c: usize| {
         let off = c * chunk_len;
@@ -213,7 +218,7 @@ pub fn parallel_for_parts_mut<T: Send, R: Send>(
     if nparts == 0 {
         return Vec::new();
     }
-    TASKS.fetch_add(nparts as u64, Ordering::Relaxed);
+    add_tasks(nparts);
     let t = threads().min(nparts);
     if t <= 1 {
         let mut out = Vec::with_capacity(nparts);
@@ -303,7 +308,7 @@ mod tests {
 
     #[test]
     fn parallel_for_touches_every_unit_once() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let hits: Vec<AtomicU32> = (0..37).map(|_| AtomicU32::new(0)).collect();
         for t in [1, 2, 4, 8] {
             with_threads(t, || {

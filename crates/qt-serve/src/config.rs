@@ -8,9 +8,8 @@ use qt_quant::ElemFormat;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker count: simulated service resources in the deterministic
-    /// driver, real OS threads in [`crate::Server`]. Independent of the
-    /// `QT_THREADS` kernel pool — a worker *uses* the pool, it is not
-    /// sized by it.
+    /// driver. Independent of the `QT_THREADS` kernel pool — a worker
+    /// *uses* the pool, it is not sized by it.
     pub workers: usize,
     /// Admission-queue capacity (requests shed beyond it).
     pub queue_cap: usize,

@@ -405,4 +405,11 @@ mod tests {
         assert_eq!(a.bits_flipped, b.bits_flipped);
         assert_eq!(a.service_us, b.service_us);
     }
+
+    /// Threaded hosts share one engine across their workers.
+    #[test]
+    fn engine_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Engine>();
+    }
 }

@@ -21,10 +21,11 @@
 //! - **Observability** — `serve.*` spans, instants, and metrics through
 //!   qt-trace; crash-safe health snapshots through qt-ckpt ([`snapshot`]).
 //!
-//! Two drivers share the one engine code path: [`sim::run_sim`], a
-//! single-threaded discrete-event simulation on a virtual clock whose
-//! reports replay bit-exactly (and identically at any `QT_THREADS`), and
-//! [`Server`], the same machinery on real OS threads.
+//! The crate's driver is [`sim::run_sim`], a single-threaded
+//! discrete-event simulation on a virtual clock whose reports replay
+//! bit-exactly (and identically at any `QT_THREADS`). [`Engine`] is
+//! `Send + Sync`, so a threaded host calls [`Engine::process`] from its
+//! own workers over a shared [`BoundedQueue`] and [`CircuitBreaker`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +36,6 @@ pub mod engine;
 pub mod queue;
 pub mod request;
 pub mod retry;
-pub mod server;
 pub mod shield;
 pub mod sim;
 pub mod snapshot;
@@ -46,7 +46,6 @@ pub use engine::{Attempt, Engine, ProcessOutcome};
 pub use queue::{BoundedQueue, Rejected};
 pub use request::{OutcomeKind, Request, Response};
 pub use retry::{Backoff, RetryPolicy};
-pub use server::{Server, ServerStats};
 pub use shield::{integrity_health, pristine_codes, pristine_codes_for_region, shield_model};
 pub use sim::{run_sim, run_sim_observed, LoadSpec, ServeReport};
 pub use snapshot::{HealthSnapshot, SnapshotError, SNAPSHOT_SCHEMA};

@@ -3,16 +3,16 @@
 //! The blocked GEMM in [`crate::gemm`] funnels every inner loop through a
 //! single [`MicroKernel`] function pointer: accumulate one A row segment
 //! times one packed `kc × nr` B tile into an `NR`-wide accumulator. This
-//! module provides three implementations —
+//! module provides two implementations —
 //!
-//! - `scalar`: the portable reference loop (the bitwise ground truth);
-//! - `sse2`: 4-lane `std::arch` x86-64 kernel;
+//! - `scalar`: the portable reference loop (the bitwise ground truth and
+//!   the fallback on CPUs without AVX2);
 //! - `avx2`: 8-lane `std::arch` kernel with the full `NR`-column tile
 //!   register-blocked across the `k` loop;
 //!
-//! — and picks one at startup with `is_x86_feature_detected!`,
-//! overridable via the `QT_BACKEND` environment variable
-//! (`scalar|sse2|avx2`) or per-thread via [`with_backend`].
+//! — and picks the strongest one the CPU supports with
+//! `is_x86_feature_detected!`, overridable per-thread via
+//! [`with_backend`].
 //!
 //! # Bitwise-identity contract
 //!
@@ -28,15 +28,12 @@
 //!   uniformly to all columns in every kernel.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 use crate::gemm::NR;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod scalar;
-#[cfg(target_arch = "x86_64")]
-mod sse2;
 
 /// The microkernel contract: `kernel(arow, tile, finite, acc, nr)`
 /// performs, for each `kk` in `0..arow.len()`:
@@ -56,33 +53,19 @@ pub type MicroKernel = fn(arow: &[f32], tile: &[f32], finite: &[bool], acc: &mut
 pub enum GemmBackend {
     /// Portable reference loop; always available, bitwise ground truth.
     Scalar,
-    /// 4-lane `std::arch` x86-64 kernel (baseline feature on x86-64).
-    Sse2,
     /// 8-lane `std::arch` kernel; requires AVX2 at runtime.
     Avx2,
 }
 
 /// All backend values, in preference order (weakest first).
-pub const ALL_BACKENDS: [GemmBackend; 3] =
-    [GemmBackend::Scalar, GemmBackend::Sse2, GemmBackend::Avx2];
+pub const ALL_BACKENDS: [GemmBackend; 2] = [GemmBackend::Scalar, GemmBackend::Avx2];
 
 impl GemmBackend {
-    /// Stable lowercase name (matches the `QT_BACKEND` spelling).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             GemmBackend::Scalar => "scalar",
-            GemmBackend::Sse2 => "sse2",
             GemmBackend::Avx2 => "avx2",
-        }
-    }
-
-    /// Parse a `QT_BACKEND` spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(GemmBackend::Scalar),
-            "sse2" => Some(GemmBackend::Sse2),
-            "avx2" => Some(GemmBackend::Avx2),
-            _ => None,
         }
     }
 
@@ -90,8 +73,6 @@ impl GemmBackend {
     pub fn available(self) -> bool {
         match self {
             GemmBackend::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            GemmBackend::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             GemmBackend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -114,63 +95,24 @@ impl GemmBackend {
         match self {
             GemmBackend::Scalar => scalar::kernel,
             #[cfg(target_arch = "x86_64")]
-            GemmBackend::Sse2 if self.available() => sse2::kernel,
-            #[cfg(target_arch = "x86_64")]
             GemmBackend::Avx2 if self.available() => avx2::kernel,
             _ => scalar::kernel,
         }
     }
 }
 
-/// Process-global backend, resolved from `QT_BACKEND` exactly once.
-static CONFIGURED: OnceLock<GemmBackend> = OnceLock::new();
-
 thread_local! {
     /// Per-thread override installed by [`with_backend`].
     static OVERRIDE: Cell<Option<GemmBackend>> = const { Cell::new(None) };
 }
 
-/// The `QT_BACKEND` value this process was configured with, if set.
-pub fn qt_backend_env() -> Option<String> {
-    std::env::var("QT_BACKEND").ok()
-}
-
-fn configured() -> GemmBackend {
-    *CONFIGURED.get_or_init(|| match qt_backend_env() {
-        Some(raw) => match GemmBackend::parse(&raw) {
-            Some(b) if b.available() => b,
-            Some(b) => {
-                let best = GemmBackend::detect_best();
-                eprintln!(
-                    "qt-tensor: QT_BACKEND={} not supported by this CPU; using {}",
-                    b.name(),
-                    best.name()
-                );
-                best
-            }
-            None => {
-                let best = GemmBackend::detect_best();
-                eprintln!(
-                    "qt-tensor: unknown QT_BACKEND={raw:?} (expected scalar|sse2|avx2); using {}",
-                    best.name()
-                );
-                best
-            }
-        },
-        None => GemmBackend::detect_best(),
-    })
-}
-
 /// The backend GEMMs issued from the current thread will use: the
-/// [`with_backend`] override if one is active (clamped to what the CPU
-/// supports), else the process-global `QT_BACKEND` configuration, else
-/// the strongest detected backend.
+/// [`with_backend`] override if one is active and the CPU supports it,
+/// else the strongest detected backend.
 pub fn active() -> GemmBackend {
-    let b = OVERRIDE.with(|o| o.get()).unwrap_or_else(configured);
-    if b.available() {
-        b
-    } else {
-        GemmBackend::detect_best()
+    match OVERRIDE.with(|o| o.get()) {
+        Some(b) if b.available() => b,
+        _ => GemmBackend::detect_best(),
     }
 }
 
@@ -272,22 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn env_parse_round_trips() {
-        for b in ALL_BACKENDS {
-            assert_eq!(GemmBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(GemmBackend::parse(" AVX2 "), Some(GemmBackend::Avx2));
-        assert_eq!(GemmBackend::parse("neon"), None);
-    }
-
-    #[test]
     fn with_backend_restores_on_exit() {
         let outer = active();
         with_backend(GemmBackend::Scalar, || {
             assert_eq!(active(), GemmBackend::Scalar);
-            with_backend(GemmBackend::Sse2, || {
-                if GemmBackend::Sse2.available() {
-                    assert_eq!(active(), GemmBackend::Sse2);
+            with_backend(GemmBackend::Avx2, || {
+                if GemmBackend::Avx2.available() {
+                    assert_eq!(active(), GemmBackend::Avx2);
                 }
             });
             assert_eq!(active(), GemmBackend::Scalar);
