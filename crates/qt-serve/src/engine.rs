@@ -10,11 +10,20 @@
 //! [`CancelToken`] through every forward pass so a deadline aborts
 //! mid-model rather than after the fact.
 //!
+//! Each path keeps one shared [`QuantState`] (quantizer tables, softmax
+//! and resident weight packs), filled by the first attempt on pristine
+//! weights that completes; every later attempt on that path builds its
+//! [`QuantCtx`] over it instead of from scratch. The state is a pure
+//! function of the master weights and the scheme, so it does not matter
+//! which attempt (or thread) fills it. A faulted attempt's flipped
+//! weights fail the resident fingerprint check and repack into that
+//! pass's own cache; faulted and cancelled attempts never fill it.
+//!
 //! The engine is deliberately clock-free: time is a parameter (virtual
 //! µs), routing decisions come from caller-supplied closures, and all
 //! randomness is derived from the request id. The deterministic
-//! simulation driver and the threaded server are both thin shells
-//! around this one code path.
+//! simulation driver, the fleet's replicas and threaded benchmark
+//! harnesses are all thin shells around this one code path.
 
 use crate::breaker::Route;
 use crate::config::ServeConfig;
@@ -23,7 +32,8 @@ use crate::retry::{Backoff, RetryPolicy};
 use qt_autograd::Tape;
 use qt_quant::{HealthWindow, QuantScheme, TensorHealth};
 use qt_robust::{cell_seed, FaultSource};
-use qt_transformer::{CancelToken, Model, ModelKind, QuantCtx, TokenBatch, TrainMode};
+use qt_transformer::{CancelToken, Model, ModelKind, QuantCtx, QuantState, TokenBatch, TrainMode};
+use std::sync::{Arc, OnceLock};
 
 /// Hard cap on attempts per request beyond the retry policy, so a
 /// deadline-less request against a pathological fault environment still
@@ -70,6 +80,10 @@ pub struct Engine {
     retry: RetryPolicy,
     retry_seed: u64,
     per_block_us: u64,
+    /// Shared quantization state of the primary (`[0]`) and degraded
+    /// (`[1]`) paths. Filled lazily, never in [`Engine::new`], so
+    /// construction stays as cheap as cloning the model.
+    states: [OnceLock<Arc<QuantState>>; 2],
 }
 
 impl Engine {
@@ -85,6 +99,7 @@ impl Engine {
             retry: cfg.retry,
             retry_seed: cfg.retry_seed,
             per_block_us: cfg.per_block_us,
+            states: Default::default(),
         }
     }
 
@@ -114,55 +129,48 @@ impl Engine {
         primary: bool,
         block_budget: u64,
     ) -> Attempt {
-        let (faulted, bits_flipped) = if primary {
-            match self.fault.corrupt_for_request(&self.model, req.id, attempt_idx) {
-                Some((m, r)) => (Some(m), r.bits_flipped),
-                None => (None, 0),
-            }
+        let faulted = if primary {
+            self.fault
+                .corrupt_for_request(&self.model, req.id, attempt_idx)
         } else {
-            (None, 0)
+            None
         };
-        let model = faulted.as_ref().unwrap_or(&self.model);
-        let scheme = if primary { self.primary } else { self.fallback };
         let token = CancelToken::with_block_budget(block_budget);
-        let qctx = QuantCtx::inference(scheme).with_cancel(token.clone());
-        let mut tape = Tape::new();
-        let batch = TokenBatch::dense(req.tokens.clone(), 1, req.tokens.len());
-        let dec = (model.cfg.kind == ModelKind::EncDec).then(|| batch.clone());
-        match model.try_forward(&mut tape, &qctx, &batch, dec.as_ref(), TrainMode::Frozen) {
-            Ok(out) => {
-                let mut health = TensorHealth::default();
-                for (_, h) in qctx.health_report() {
-                    health.merge(&h);
-                }
-                let logits = tape.value(out.logits).data();
-                // Belt and braces: even if every cut site were fused
-                // away, a non-finite logit must flag the response.
-                let bad_logits = logits.iter().filter(|x| !x.is_finite()).count() as u64;
-                health.elements += logits.len() as u64;
-                health.nonfinite_out += bad_logits;
-                let label = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                Attempt {
-                    completed: true,
-                    label: Some(label),
-                    health,
-                    blocks: model.blocks_per_forward(),
-                    bits_flipped,
-                }
-            }
-            Err(cancelled) => Attempt {
-                completed: false,
-                label: None,
-                health: TensorHealth::default(),
-                blocks: cancelled.blocks_completed,
-                bits_flipped,
+        let qctx = self.context(primary).with_cancel(token);
+        match &faulted {
+            Some((model, report)) => Attempt {
+                bits_flipped: report.bits_flipped,
+                ..forward(model, &qctx, req)
             },
+            None => {
+                let a = forward(&self.model, &qctx, req);
+                if a.completed {
+                    self.publish(primary, &qctx);
+                }
+                a
+            }
         }
+    }
+
+    /// An inference context for one pass on the primary or degraded path:
+    /// over that path's shared state once it is filled, else from scratch.
+    fn context(&self, primary: bool) -> QuantCtx {
+        match self.state_slot(primary).get() {
+            Some(state) => QuantCtx::over(Arc::clone(state)),
+            None if primary => QuantCtx::inference(self.primary),
+            None => QuantCtx::inference(self.fallback),
+        }
+    }
+
+    /// Fill the path's shared state from a completed pass over the master
+    /// weights, unless another pass already did.
+    fn publish(&self, primary: bool, qctx: &QuantCtx) {
+        self.state_slot(primary)
+            .get_or_init(|| Arc::new(qctx.resident_state()));
+    }
+
+    fn state_slot(&self, primary: bool) -> &OnceLock<Arc<QuantState>> {
+        &self.states[usize::from(!primary)]
     }
 
     /// Take `req` from service start to a final response.
@@ -298,13 +306,54 @@ impl Engine {
     }
 }
 
+/// One forward pass of `req` through `model` under `qctx`. The caller
+/// fills in `bits_flipped`.
+fn forward(model: &Model, qctx: &QuantCtx, req: &Request) -> Attempt {
+    let mut tape = Tape::new();
+    let batch = TokenBatch::dense(req.tokens.clone(), 1, req.tokens.len());
+    let dec = (model.cfg.kind == ModelKind::EncDec).then(|| batch.clone());
+    match model.try_forward(&mut tape, qctx, &batch, dec.as_ref(), TrainMode::Frozen) {
+        Ok(out) => {
+            let mut health = qctx.health_total();
+            let logits = tape.value(out.logits).data();
+            // Belt and braces: even if every cut site were fused
+            // away, a non-finite logit must flag the response.
+            let bad_logits = logits.iter().filter(|x| !x.is_finite()).count() as u64;
+            health.elements += logits.len() as u64;
+            health.nonfinite_out += bad_logits;
+            let label = logits
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            Attempt {
+                completed: true,
+                label: Some(label),
+                health,
+                blocks: model.blocks_per_forward(),
+                bits_flipped: 0,
+            }
+        }
+        Err(cancelled) => Attempt {
+            completed: false,
+            label: None,
+            health: TensorHealth::default(),
+            blocks: cancelled.blocks_completed,
+            bits_flipped: 0,
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qt_quant::ElemFormat;
-    use qt_robust::{BerFaultSource, CodeFormat, NoFaults};
+    use qt_robust::{BerFaultSource, BurstFaultSource, CodeFormat, NoFaults};
     use qt_transformer::{TaskHead, TransformerConfig};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
 
     fn tiny_model() -> Model {
         let mut rng = StdRng::seed_from_u64(11);
@@ -369,23 +418,148 @@ mod tests {
         let model = tiny_model();
         let mut cfg = ServeConfig::default();
         cfg.retry.max_attempts = 2;
-        // BER high enough that essentially every primary read is flagged.
+        // Requests 10..16 read at a BER high enough that essentially
+        // every primary read is flagged; request 0 reads clean.
         let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
-        let fault = BerFaultSource::new(5, codec, 0.05);
+        let fault = BurstFaultSource::new(BerFaultSource::new(5, codec, 0.0), 0.05, 10..16);
         let engine = Engine::new(model.clone(), &cfg, Box::new(fault));
-        let mut served_any_unhealthy = false;
-        for id in 0..6u64 {
-            let req = request(10 + id, &model);
-            let out = engine.process(&req, 0, |_| Route::Primary, |_, _| {});
+        // The clean request fills the primary path's shared state, so the
+        // faulted attempts below run with it warm.
+        let warmup = engine.process(&request(0, &model), 0, |_| Route::Primary, |_, _| {});
+        assert_eq!(warmup.response.outcome, OutcomeKind::ServedPrimary);
+        assert!(engine.state_slot(true).get().is_some());
+        for id in 10..16u64 {
+            let req = request(id, &model);
+            let mut unhealthy = 0u32;
+            let mut last_primary_healthy = None;
+            let out = engine.process(
+                &req,
+                0,
+                |_| Route::Primary,
+                |h, _| {
+                    let bad = HealthWindow::is_unhealthy(h);
+                    unhealthy += u32::from(bad);
+                    last_primary_healthy = Some(!bad);
+                },
+            );
             assert!(out.response.outcome.is_served());
-            if out.response.flagged > 0 {
-                // Retried at least once; the served attempt must have
-                // been clean (degraded or a lucky clean re-read).
-                served_any_unhealthy = false;
+            // Every unhealthy primary attempt was flagged, and the
+            // degraded path (master weights) flagged nothing.
+            assert_eq!(out.response.flagged, unhealthy, "request {id}");
+            assert!(unhealthy > 0, "request {id} should read corrupted");
+            if out.response.outcome == OutcomeKind::ServedPrimary {
+                assert_eq!(
+                    last_primary_healthy,
+                    Some(true),
+                    "served an unhealthy attempt"
+                );
             }
             assert!(out.response.attempts <= cfg.retry.max_attempts + 1);
         }
-        assert!(!served_any_unhealthy);
+    }
+
+    /// Each request's response and merged primary health, served by one
+    /// engine (shared state warm after the first clean read) and by a
+    /// fresh engine per request (every attempt from scratch).
+    fn served(engine: &Engine, req: &Request) -> (Response, TensorHealth, u64) {
+        let mut health = TensorHealth::default();
+        let out = engine.process(req, 0, |_| Route::Primary, |h, _| health.merge(h));
+        (out.response, health, out.bits_flipped)
+    }
+
+    #[test]
+    fn shared_state_serves_the_same_bits_as_a_cold_engine() {
+        let model = tiny_model();
+        let cfg = ServeConfig::default();
+        let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
+        // About half of the reads at this BER flip at least one bit.
+        let ber = BerFaultSource::new(9, codec, 2e-6);
+        let sources: [&dyn Fn() -> Box<dyn FaultSource + Send + Sync>; 2] =
+            [&|| Box::new(NoFaults), &|| Box::new(ber)];
+        let mut faulted = Vec::new();
+        for source in sources {
+            let shared = Engine::new(model.clone(), &cfg, source());
+            let mut flipped = 0;
+            for id in 0..20u64 {
+                let req = request(200 + id, &model);
+                let cold = Engine::new(model.clone(), &cfg, source());
+                let got = served(&shared, &req);
+                assert_eq!(got, served(&cold, &req), "request {id}");
+                flipped += usize::from(got.2 > 0);
+            }
+            assert!(shared.state_slot(true).get().is_some(), "never warmed");
+            faulted.push(flipped);
+        }
+        // Both sources ran; the BER source mixed faulted and clean reads.
+        assert_eq!(faulted[0], 0);
+        assert!((1..20).contains(&faulted[1]), "{faulted:?}");
+    }
+
+    /// The GEMM site that reads parameter `name`, if any.
+    fn gemm_site(name: &str) -> Option<String> {
+        let (prefix, last) = name.rsplit_once('.')?;
+        let site = match last {
+            "wq" => "q",
+            "wk" => "k",
+            "wv" => "v",
+            "wo" => "o",
+            "w1" => "up",
+            "w2" => "down",
+            "w" => return Some(prefix.to_string()),
+            _ => return None,
+        };
+        Some(format!("{prefix}.{site}"))
+    }
+
+    #[test]
+    fn faulted_attempt_repacks_exactly_its_flipped_sites() {
+        let model = tiny_model();
+        let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
+        let src = BerFaultSource::new(21, codec, 2e-6);
+        let engine = Engine::new(model.clone(), &ServeConfig::default(), Box::new(src));
+        // Warm the primary state with the first clean read.
+        let clean = (0..64u64)
+            .find(|&id| src.corrupt_for_request(&model, id, 0).is_none())
+            .expect("a clean read at this BER");
+        engine.attempt(&request(clean, &model), 0, true, u64::MAX);
+        let state = engine
+            .state_slot(true)
+            .get()
+            .expect("clean read fills the state");
+        let sites = state.resident_packs();
+        // A read whose flips hit some GEMM weights but not all of them.
+        let (id, faulted, flipped) = (0..256u64)
+            .find_map(|id| {
+                let (m, _) = src.corrupt_for_request(&model, id, 0)?;
+                let flipped: BTreeSet<String> = src
+                    .positions_for_request(&model, id, 0)
+                    .iter()
+                    .filter_map(|(name, _)| gemm_site(name))
+                    .collect();
+                (!flipped.is_empty() && flipped.len() < sites).then_some((id, m, flipped))
+            })
+            .expect("a read that flips some GEMM weights");
+        let session = qt_trace::TraceSession::new("t").handle();
+        let qctx = engine.context(true).with_trace(Rc::clone(&session));
+        let a = forward(&faulted, &qctx, &request(id, &model));
+        assert!(a.completed);
+        let packed: BTreeSet<String> = qctx.packed_sites().into_iter().collect();
+        assert_eq!(packed, flipped, "request {id}");
+        let sess = session.borrow();
+        let m = sess.metrics();
+        let miss = m.counter_value("gemm.pack_cache", &[("event", "miss")]);
+        let hit = m.counter_value("gemm.pack_cache", &[("event", "hit")]);
+        assert_eq!(miss as usize, flipped.len());
+        assert_eq!(
+            (hit + miss) as usize,
+            sites,
+            "every other site hit the store"
+        );
+        // The faulted pass left the shared state as it was.
+        assert_eq!(
+            engine.state_slot(true).get().unwrap().resident_packs(),
+            sites
+        );
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use lora::LoraConfig;
 pub use model::{Model, ModelOutput, TokenBatch, TrainMode};
 pub use params::ParamStore;
 pub use probe::ProbeStore;
-pub use qctx::QuantCtx;
+pub use qctx::{QuantCtx, QuantState};
 pub use qt_quant::{NonFinitePolicy, TensorHealth};
 pub use softmax::Softmax;

@@ -10,6 +10,12 @@
 //! - **backward**: quantizes the gradient to the backward format, applying
 //!   per-tensor delayed scaling (§5.1) and recording the observed amax into
 //!   the shared [`AmaxTracker`].
+//!
+//! A context has two parts. The immutable [`QuantState`] (scheme,
+//! quantizer tables, softmax, resident weight packs) is `Send + Sync` and
+//! may be shared by any number of passes on any thread. Everything a pass
+//! mutates (health, amax history, its own pack cache, trace, probe,
+//! cancel token) is per-context `Rc` state.
 
 use crate::cancel::{CancelToken, ForwardCancelled};
 use crate::probe::ProbeStore;
@@ -24,39 +30,108 @@ use qt_trace::{CycleModel, QuantEvent, SpanId, TraceHandle};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
-/// One cached weight pack: the decoded KC×NR panels plus the fingerprint
-/// of the f32 weight bits it was built from. A fingerprint/shape mismatch
-/// (weight update, LoRA merge change, injected bit flip) repacks.
+/// One weight pack: the decoded KC×NR panels plus the fingerprint of the
+/// f32 weight bits it was built from. A fingerprint, shape or format
+/// mismatch (weight update, LoRA merge change, injected bit flip, another
+/// scheme's store) repacks.
+#[derive(Clone)]
 struct PackEntry {
     fingerprint: u64,
-    pack: Rc<PackedQuantB>,
+    pack: Arc<PackedQuantB>,
 }
 
-/// FNV-1a over the exact f32 bit patterns — cheap (one linear pass),
-/// deterministic, and sensitive to any single-bit weight corruption.
+impl PackEntry {
+    /// Was this pack built from a `[k, n]` weight with fingerprint `fp`
+    /// in `format`?
+    fn holds(&self, fp: u64, k: usize, n: usize, format: ElemFormat) -> bool {
+        self.fingerprint == fp
+            && self.pack.k() == k
+            && self.pack.n() == n
+            && self.pack.format() == format
+    }
+}
+
+/// FNV-1a-style hash over whole 32-bit words of the exact f32 bit
+/// patterns: one xor-then-multiply by the odd FNV prime per weight.
+///
+/// For a fixed word each step is a bijection of the 64-bit state (xor is,
+/// and multiplying by an odd number is invertible mod 2^64), so two
+/// equal-length inputs that differ in any single word — a single-bit
+/// weight flip included — always hash differently. The value is only ever
+/// compared with fingerprints made by this same function, never stored or
+/// reported, so hashing words instead of bytes changes no output.
 fn fnv1a64(data: &[f32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h ^= v.to_bits() as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The immutable, shareable part of a quantization context: the scheme,
+/// its quantizer tables and softmax, and a store of resident weight packs
+/// keyed by GEMM site. It is a pure function of the scheme and the weight
+/// bits its packs were built from, so a serving engine builds it once and
+/// every later pass reads it through [`QuantCtx::over`].
+#[derive(Clone)]
+pub struct QuantState {
+    scheme: QuantScheme,
+    fq_fwd: Arc<FakeQuant>,
+    /// Gradient quantizer; built for training contexts only, since
+    /// inference cuts never quantize gradients.
+    fq_bwd: Option<Arc<FakeQuant>>,
+    softmax: Arc<Softmax>,
+    /// Resident weight packs by GEMM site. Every lookup still checks the
+    /// fingerprint, shape and format, so a pass over different weight
+    /// bits misses and packs into its own cache instead.
+    resident: BTreeMap<String, PackEntry>,
+}
+
+impl QuantState {
+    fn build(scheme: QuantScheme, training: bool) -> Self {
+        let quantizer = |fmt| {
+            Arc::new(FakeQuant::with_guard(
+                fmt,
+                scheme.underflow,
+                scheme.nonfinite,
+            ))
+        };
+        Self {
+            scheme,
+            fq_fwd: quantizer(scheme.fwd),
+            fq_bwd: training.then(|| quantizer(scheme.bwd)),
+            softmax: Arc::new(Softmax::new(scheme.softmax)),
+            resident: BTreeMap::new(),
+        }
+    }
+
+    /// Number of resident weight packs.
+    pub fn resident_packs(&self) -> usize {
+        self.resident.len()
+    }
+}
+
+impl core::fmt::Debug for QuantState {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("QuantState")
+            .field("scheme", &self.scheme)
+            .field("resident_packs", &self.resident.len())
+            .finish()
+    }
 }
 
 /// Quantization context threaded through a model's forward pass.
 #[derive(Clone)]
 pub struct QuantCtx {
-    scheme: QuantScheme,
-    fq_fwd: Rc<FakeQuant>,
-    fq_bwd: Rc<FakeQuant>,
-    softmax: Rc<Softmax>,
+    state: Arc<QuantState>,
     tracker: Rc<RefCell<AmaxTracker>>,
     health: Rc<RefCell<BTreeMap<String, TensorHealth>>>,
-    /// Per-GEMM-site cache of decoded weight packs (inference only;
-    /// shared across clones of this context, like the health map).
+    /// Weight packs this context built itself (inference only; shared
+    /// across clones of this context, like the health map). Sites the
+    /// resident store answers never land here.
     gemm_cache: Rc<RefCell<BTreeMap<String, PackEntry>>>,
     probe: Option<Rc<RefCell<ProbeStore>>>,
     trace: Option<TraceHandle>,
@@ -68,33 +143,29 @@ pub struct QuantCtx {
 impl QuantCtx {
     /// Context for inference (no gradient bookkeeping).
     pub fn inference(scheme: QuantScheme) -> Self {
-        Self::build(scheme, false)
+        Self::build(Arc::new(QuantState::build(scheme, false)), false)
     }
 
     /// Context for training: gradients are quantized and amax history is
     /// tracked.
     pub fn training(scheme: QuantScheme) -> Self {
-        Self::build(scheme, true)
+        Self::build(Arc::new(QuantState::build(scheme, true)), true)
     }
 
-    fn build(scheme: QuantScheme, training: bool) -> Self {
-        let history = match scheme.scaling {
+    /// Inference context over a shared [`QuantState`]: no quantizer table
+    /// is built, and GEMM weights whose bits match a resident pack are not
+    /// repacked.
+    pub fn over(state: Arc<QuantState>) -> Self {
+        Self::build(state, false)
+    }
+
+    fn build(state: Arc<QuantState>, training: bool) -> Self {
+        let history = match state.scheme.scaling {
             ScalingMode::PerTensorAmax { history } => history,
             _ => 1,
         };
         Self {
-            scheme,
-            fq_fwd: Rc::new(FakeQuant::with_guard(
-                scheme.fwd,
-                scheme.underflow,
-                scheme.nonfinite,
-            )),
-            fq_bwd: Rc::new(FakeQuant::with_guard(
-                scheme.bwd,
-                scheme.underflow,
-                scheme.nonfinite,
-            )),
-            softmax: Rc::new(Softmax::new(scheme.softmax)),
+            state,
             tracker: Rc::new(RefCell::new(AmaxTracker::new(history))),
             health: Rc::new(RefCell::new(BTreeMap::new())),
             gemm_cache: Rc::new(RefCell::new(BTreeMap::new())),
@@ -104,6 +175,19 @@ impl QuantCtx {
             cancel: None,
             training,
         }
+    }
+
+    /// The shared state this context reads, with every pack this context
+    /// built added to its resident store. Publish it only from a pass
+    /// over the weights later passes will read: packs of other weights
+    /// are never wrong (lookups check the fingerprint), only useless.
+    pub fn resident_state(&self) -> QuantState {
+        let mut state = QuantState::clone(&self.state);
+        let cache = self.gemm_cache.borrow();
+        state
+            .resident
+            .extend(cache.iter().map(|(site, e)| (site.clone(), e.clone())));
+        state
     }
 
     /// Attach a cooperative cancellation token: the model charges one
@@ -217,11 +301,7 @@ impl QuantCtx {
 
     /// The scheme in effect.
     pub fn scheme(&self) -> &QuantScheme {
-        self.scheme_ref()
-    }
-
-    fn scheme_ref(&self) -> &QuantScheme {
-        &self.scheme
+        &self.state.scheme
     }
 
     /// Shared amax tracker (inspect after training for Figure 10).
@@ -261,7 +341,8 @@ impl QuantCtx {
 
     /// Is this site quantized under the scheme?
     pub fn quantizes(&self, op: OpClass) -> bool {
-        !matches!(self.scheme.fwd, ElemFormat::Fp32) && self.scheme.quantized_ops().contains(op)
+        let scheme = &self.state.scheme;
+        !matches!(scheme.fwd, ElemFormat::Fp32) && scheme.quantized_ops().contains(op)
     }
 
     /// Quantization cut: returns a [`Var`] whose forward value is the
@@ -282,16 +363,17 @@ impl QuantCtx {
             p.borrow_mut().record_stats(name, stats);
         }
         let quantize_fwd = self.quantizes(op);
-        let quantize_bwd = self.training && !matches!(self.scheme.bwd, ElemFormat::Fp32);
+        let scheme = &self.state.scheme;
+        let quantize_bwd = self.training && !matches!(scheme.bwd, ElemFormat::Fp32);
         if !quantize_fwd && !quantize_bwd {
             return x;
         }
         let fwd_value = if quantize_fwd {
-            let (v, h) = self.fq_fwd.quantize_with_health(tape.value(x));
+            let (v, h) = self.state.fq_fwd.quantize_with_health(tape.value(x));
             if let Some(t) = &self.trace {
                 t.borrow_mut().quant(&QuantEvent {
                     site: name,
-                    format: self.scheme.fwd.name(),
+                    format: scheme.fwd.name(),
                     amax: tape.value(x).amax(),
                     elements: h.elements,
                     saturated: h.saturated,
@@ -309,11 +391,19 @@ impl QuantCtx {
         } else {
             tape.value(x).clone()
         };
-        let fq_bwd = Rc::clone(&self.fq_bwd);
+        if !quantize_bwd {
+            return tape.custom(vec![x], fwd_value, Box::new(|g, _, _| vec![g.clone()]));
+        }
+        let fq_bwd = Arc::clone(
+            self.state
+                .fq_bwd
+                .as_ref()
+                .expect("training contexts build the gradient quantizer"),
+        );
         let tracker = Rc::clone(&self.tracker);
         let health = Rc::clone(&self.health);
-        let scaling = self.scheme.scaling;
-        let bwd_fmt = self.scheme.bwd;
+        let scaling = scheme.scaling;
+        let bwd_fmt = scheme.bwd;
         let key = format!("{name}.grad");
         let probe = self.probe.clone();
         let trace = self.trace.clone();
@@ -321,9 +411,6 @@ impl QuantCtx {
             vec![x],
             fwd_value,
             Box::new(move |g, _parents, _| {
-                if !quantize_bwd {
-                    return vec![g.clone()];
-                }
                 if let Some(p) = &probe {
                     p.borrow_mut().record(&key, g);
                 }
@@ -372,8 +459,9 @@ impl QuantCtx {
     /// already been cut. In an inference context with a quantized scheme
     /// and a 2-D weight, this runs the **code-domain path**: the weight is
     /// encoded to storage codes and decoded once into packed `KC × NR`
-    /// panels (cached per `site`, validated by shape + an FNV-1a
-    /// fingerprint of the exact weight bits, so weight updates and
+    /// panels (looked up per `site` in the resident store, then in this
+    /// context's own cache, each entry validated by shape, format and an
+    /// FNV-1a fingerprint of the exact weight bits, so weight updates and
     /// injected bit flips repack), then multiplied through the
     /// SIMD-dispatched blocked engine without materializing a fresh f32
     /// weight per call. Anything else — training, `Fp32` schemes, batched
@@ -384,7 +472,7 @@ impl QuantCtx {
     /// gradients are unaffected by the forward path choice.
     pub fn matmul_q(&self, tape: &mut Tape, x: Var, w: Var, site: &str) -> Var {
         let code_eligible = !self.training
-            && !matches!(self.scheme.fwd, ElemFormat::Fp32)
+            && !matches!(self.state.scheme.fwd, ElemFormat::Fp32)
             && tape.value(w).ndim() == 2
             && tape.value(x).ndim() >= 2
             && tape.value(x).shape()[tape.value(x).ndim() - 1] == tape.value(w).shape()[0];
@@ -410,27 +498,32 @@ impl QuantCtx {
         )
     }
 
-    /// Fetch (or build) the decoded panel pack for `site`'s weight.
-    fn weight_pack(&self, site: &str, w: &Tensor) -> Rc<PackedQuantB> {
+    /// Fetch the decoded panel pack for `site`'s weight: from the resident
+    /// store, else from this context's cache, else build it into the cache.
+    fn weight_pack(&self, site: &str, w: &Tensor) -> Arc<PackedQuantB> {
         let fp = fnv1a64(w.data());
         let (k, n) = (w.shape()[0], w.shape()[1]);
+        let format = self.state.scheme.fwd;
         let mut cache = self.gemm_cache.borrow_mut();
-        if let Some(e) = cache.get(site) {
-            if e.fingerprint == fp && e.pack.k() == k && e.pack.n() == n {
-                self.note_pack_cache("hit");
-                return Rc::clone(&e.pack);
-            }
+        let found = [self.state.resident.get(site), cache.get(site)]
+            .into_iter()
+            .flatten()
+            .find(|e| e.holds(fp, k, n, format));
+        if let Some(e) = found {
+            self.note_pack_cache("hit");
+            return Arc::clone(&e.pack);
         }
         let codes = self
+            .state
             .fq_fwd
             .quantize_to_codes(w)
             .expect("code path requires a non-Fp32 scheme");
-        let pack = Rc::new(PackedQuantB::pack(&codes));
+        let pack = Arc::new(PackedQuantB::pack(&codes));
         cache.insert(
             site.to_string(),
             PackEntry {
                 fingerprint: fp,
-                pack: Rc::clone(&pack),
+                pack: Arc::clone(&pack),
             },
         );
         self.note_pack_cache("miss");
@@ -447,14 +540,15 @@ impl QuantCtx {
         }
     }
 
-    /// Number of weight packs currently cached (tests / diagnostics).
-    pub fn cached_packs(&self) -> usize {
-        self.gemm_cache.borrow().len()
+    /// GEMM sites whose weight this context packed itself rather than
+    /// reading it from the resident store, sorted (tests / diagnostics).
+    pub fn packed_sites(&self) -> Vec<String> {
+        self.gemm_cache.borrow().keys().cloned().collect()
     }
 
     /// The scheme's softmax, recorded with its custom backward.
     pub fn softmax(&self, tape: &mut Tape, scores: Var) -> Var {
-        self.softmax.apply(tape, scores)
+        self.state.softmax.apply(tape, scores)
     }
 
     /// [`QuantCtx::softmax`] that also attributes vector-unit cycles at
@@ -467,11 +561,10 @@ impl QuantCtx {
             if let Some((&width, rows)) = shape.split_last() {
                 let rows: usize = rows.iter().product();
                 let cycles = cm.softmax_cycles(rows as u64, width as u64);
-                t.borrow_mut()
-                    .vector(site, cycles, (rows * width) as u64);
+                t.borrow_mut().vector(site, cycles, (rows * width) as u64);
             }
         }
-        self.softmax.apply(tape, scores)
+        self.state.softmax.apply(tape, scores)
     }
 
     /// `true` when constructed with [`QuantCtx::training`].
@@ -483,7 +576,7 @@ impl QuantCtx {
 impl core::fmt::Debug for QuantCtx {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("QuantCtx")
-            .field("scheme", &self.scheme)
+            .field("scheme", &self.state.scheme)
             .field("training", &self.training)
             .finish()
     }
@@ -609,7 +702,14 @@ mod tests {
         // Sorted by site name, forward and ".grad" keys interleaved.
         assert_eq!(
             names,
-            ["a.act", "a.act.grad", "m.act", "m.act.grad", "z.act", "z.act.grad"]
+            [
+                "a.act",
+                "a.act.grad",
+                "m.act",
+                "m.act.grad",
+                "z.act",
+                "z.act.grad"
+            ]
         );
         // The repeated site merged both passes: 3 + 3 elements.
         let a = &report[0].1;
@@ -640,10 +740,14 @@ mod tests {
         // Backward event lands under the .grad key.
         assert_eq!(sess.quant_sites()["site.grad"].events, 1);
         // Probe records flowed into the metrics registry.
-        let hist = sess.metrics().hist("probe.log2", &[("site", "site")]).unwrap();
+        let hist = sess
+            .metrics()
+            .hist("probe.log2", &[("site", "site")])
+            .unwrap();
         assert_eq!(hist.count(), 2);
         assert_eq!(
-            sess.metrics().gauge_value("probe.amax", &[("site", "site")]),
+            sess.metrics()
+                .gauge_value("probe.amax", &[("site", "site")]),
             Some(1e9)
         );
     }
@@ -696,13 +800,17 @@ mod tests {
         let x = tape.leaf(Tensor::from_vec(vec![1.0; 8], &[2, 4]), false);
         let w1 = tape.leaf(Tensor::from_vec(vec![0.5; 12], &[4, 3]), false);
         let _ = ctx.matmul_q(&mut tape, x, w1, "site");
-        assert_eq!(ctx.cached_packs(), 1);
+        assert_eq!(ctx.packed_sites().len(), 1);
         let _ = ctx.matmul_q(&mut tape, x, w1, "site");
-        assert_eq!(ctx.cached_packs(), 1, "same bits must reuse the pack");
+        assert_eq!(ctx.packed_sites().len(), 1, "same bits must reuse the pack");
         // Same site, different weight bits: fingerprint mismatch repacks.
         let w2 = tape.leaf(Tensor::from_vec(vec![0.25; 12], &[4, 3]), false);
         let _ = ctx.matmul_q(&mut tape, x, w2, "site");
-        assert_eq!(ctx.cached_packs(), 1, "stale entry replaced, not grown");
+        assert_eq!(
+            ctx.packed_sites().len(),
+            1,
+            "stale entry replaced, not grown"
+        );
         let sess = session.borrow();
         let m = sess.metrics();
         assert_eq!(m.counter_value("gemm.pack_cache", &[("event", "miss")]), 2);
@@ -710,10 +818,97 @@ mod tests {
         assert_eq!(
             m.counter_value(
                 "gemm.backend",
-                &[("backend", qt_tensor::kernels::active().name()), ("domain", "code")]
+                &[
+                    ("backend", qt_tensor::kernels::active().name()),
+                    ("domain", "code")
+                ]
             ),
             3
         );
+    }
+
+    #[test]
+    fn only_training_contexts_build_the_gradient_quantizer() {
+        assert!(QuantCtx::inference(QuantScheme::posit8())
+            .state
+            .fq_bwd
+            .is_none());
+        assert!(QuantCtx::training(QuantScheme::posit8())
+            .state
+            .fq_bwd
+            .is_some());
+    }
+
+    #[test]
+    fn fingerprint_detects_every_single_bit_flip() {
+        let w: Vec<f32> = (0..67).map(|i| (i as f32) * 0.37 - 11.0).collect();
+        let base = fnv1a64(&w);
+        for i in [0, 1, 33, 66] {
+            for bit in 0..32 {
+                let mut v = w.clone();
+                v[i] = f32::from_bits(v[i].to_bits() ^ (1 << bit));
+                assert_ne!(fnv1a64(&v), base, "word {i} bit {bit}");
+            }
+        }
+    }
+
+    /// Run `x @ w` at `site` through `ctx`, returning the output.
+    fn gemm(ctx: &QuantCtx, x: &Tensor, w: &Tensor, site: &str) -> Tensor {
+        let mut tape = Tape::new();
+        let (x, w) = (tape.leaf(x.clone(), false), tape.leaf(w.clone(), false));
+        let y = ctx.matmul_q(&mut tape, x, w, site);
+        tape.value(y).clone()
+    }
+
+    #[test]
+    fn shared_state_serves_resident_packs_and_repacks_changed_bits() {
+        let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.5).collect(), &[2, 4]);
+        let w1 = Tensor::from_vec(vec![0.5; 12], &[4, 3]);
+        let w2 = Tensor::from_vec(vec![0.25; 12], &[4, 3]);
+        let first = QuantCtx::inference(QuantScheme::posit8());
+        let y1 = gemm(&first, &x, &w1, "site");
+        let state = Arc::new(first.resident_state());
+        assert_eq!(state.resident_packs(), 1);
+
+        let session = qt_trace::TraceSession::new("t").handle();
+        let ctx = QuantCtx::over(Arc::clone(&state)).with_trace(Rc::clone(&session));
+        assert_eq!(gemm(&ctx, &x, &w1, "site").data(), y1.data());
+        assert!(
+            ctx.packed_sites().is_empty(),
+            "same bits read the resident pack"
+        );
+        // Different bits at the same site miss and pack into the pass's
+        // own cache; the shared store is untouched.
+        let y2 = gemm(&ctx, &x, &w2, "site");
+        assert_eq!(ctx.packed_sites(), ["site"]);
+        assert_eq!(state.resident_packs(), 1);
+        let fresh = QuantCtx::inference(QuantScheme::posit8());
+        assert_eq!(y2.data(), gemm(&fresh, &x, &w2, "site").data());
+        let sess = session.borrow();
+        let m = sess.metrics();
+        assert_eq!(m.counter_value("gemm.pack_cache", &[("event", "hit")]), 1);
+        assert_eq!(m.counter_value("gemm.pack_cache", &[("event", "miss")]), 1);
+    }
+
+    #[test]
+    fn resident_packs_are_never_read_in_another_format() {
+        // Values on both the Posit(8,1) and E4M3 grids: fingerprint and
+        // shape match across the two schemes, only the format differs.
+        let x = Tensor::from_vec(vec![1.0, -2.0, 0.5, 4.0], &[1, 4]);
+        let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 1.0, -0.5, 0.125, 8.0], &[4, 2]);
+        let posit = QuantCtx::inference(QuantScheme::posit8());
+        let _ = gemm(&posit, &x, &w, "site");
+        let posit_state = posit.resident_state();
+        // An E4M3 state handed the Posit(8,1) store.
+        let e4m3 = QuantState {
+            resident: posit_state.resident.clone(),
+            ..QuantState::build(QuantScheme::uniform(ElemFormat::E4M3), false)
+        };
+        let ctx = QuantCtx::over(Arc::new(e4m3));
+        let y = gemm(&ctx, &x, &w, "site");
+        assert_eq!(ctx.packed_sites(), ["site"], "format mismatch must repack");
+        let fresh = QuantCtx::inference(QuantScheme::uniform(ElemFormat::E4M3));
+        assert_eq!(y.data(), gemm(&fresh, &x, &w, "site").data());
     }
 
     #[test]
@@ -726,20 +921,23 @@ mod tests {
         let w = tape.leaf(Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]), true);
         let y = ctx.matmul_q(&mut tape, x, w, "site");
         assert_eq!(tape.value(y).data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(ctx.cached_packs(), 0);
+        assert_eq!(ctx.packed_sites().len(), 0);
         // Batched (non-2-D) weights fall back too, e.g. attention scores.
         let ctx2 = QuantCtx::inference(QuantScheme::posit8());
         let mut tape2 = Tape::new();
         let a = tape2.leaf(Tensor::from_vec(vec![1.0; 8], &[2, 2, 2]), false);
         let bt = tape2.leaf(Tensor::from_vec(vec![1.0; 8], &[2, 2, 2]), false);
         let _ = ctx2.matmul_q(&mut tape2, a, bt, "scores");
-        assert_eq!(ctx2.cached_packs(), 0);
+        assert_eq!(ctx2.packed_sites().len(), 0);
         let sess = session.borrow();
         let m = sess.metrics();
         assert_eq!(
             m.counter_value(
                 "gemm.backend",
-                &[("backend", qt_tensor::kernels::active().name()), ("domain", "f32")]
+                &[
+                    ("backend", qt_tensor::kernels::active().name()),
+                    ("domain", "f32")
+                ]
             ),
             1
         );
